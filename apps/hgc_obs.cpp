@@ -3,7 +3,7 @@
 //   hgc_obs merge merged.json shard0.json shard1.json ...
 //   hgc_obs diff before.json after.json
 //   hgc_obs top 10 metrics.json
-//   hgc_obs convert metrics.json metrics.prom     # and back
+//   hgc_obs convert metrics.json metrics.prom
 //
 // The fleet story: every process (or shard of a split sweep) writes its own
 // snapshot with --metrics-out; `merge` folds them with Snapshot::merge, so
@@ -11,9 +11,9 @@
 // to an unsplit run (CI asserts this on a split fig3 grid). `diff` turns
 // two snapshots of the same process into per-second rates using the
 // snapshot timestamps; `top` ranks the biggest counters and time sinks;
-// `convert` moves between the exact JSON format and Prometheus text
-// exposition (either direction — input format is sniffed, output format
-// follows the file extension: .prom/.txt = Prometheus, else JSON).
+// `convert` rewrites the exact JSON format as JSON or as Prometheus text
+// exposition (output format follows the file extension: .prom/.txt =
+// Prometheus, else JSON). Prometheus is export-only: every input is JSON.
 //
 // File arguments accept '-' for stdin/stdout. Subcommands and positional
 // arguments are deliberate here (unlike the --flag-only sweep CLIs):
@@ -43,12 +43,12 @@ void print_usage(std::ostream& os) {
         "                        the snapshot timestamps\n"
         "  top [N] IN            the N largest counters and the stats with\n"
         "                        the most accumulated time (default N=10)\n"
-        "  convert IN OUT        rewrite between JSON and Prometheus text\n"
-        "                        (input sniffed; OUT ending in .prom/.txt\n"
-        "                        selects Prometheus, anything else JSON)\n\n"
-        "IN/OUT accept '-' for stdin/stdout. Inputs may be JSON snapshots\n"
-        "(--metrics-out), recorder JSONL lines, or Prometheus exposition\n"
-        "written by this tool.\n";
+        "  convert IN OUT        rewrite a snapshot as JSON or Prometheus\n"
+        "                        text (OUT ending in .prom/.txt selects\n"
+        "                        Prometheus, anything else JSON)\n\n"
+        "IN/OUT accept '-' for stdin/stdout. Inputs are JSON snapshots\n"
+        "(--metrics-out) or recorder JSONL lines; Prometheus text is\n"
+        "export-only.\n";
 }
 
 std::string slurp(const std::string& path) {
@@ -63,24 +63,18 @@ std::string slurp(const std::string& path) {
   return buf.str();
 }
 
-/// Sniff the format: snapshots are JSON objects; anything else is treated
-/// as Prometheus text. A recorder JSONL file parses too — each line is a
-/// complete snapshot, folded left-to-right (useful for `top` over a log).
+/// Snapshots are JSON objects. A recorder JSONL file parses too — each line
+/// is a complete snapshot, folded left-to-right (useful for `top` over a
+/// log). Anything else is rejected: Prometheus text is export-only.
 Snapshot read_snapshot(const std::string& path) {
   const std::string text = slurp(path);
   const std::size_t first = text.find_first_not_of(" \t\r\n");
   if (first == std::string::npos)
     throw std::invalid_argument("empty snapshot input: " + path);
-  if (text[first] != '{') {
-    std::istringstream is(text);
-    std::vector<std::string> skipped;
-    Snapshot snap = Snapshot::read_prometheus(is, &skipped);
-    for (const std::string& name : skipped)
-      std::cerr << "hgc_obs: note: quantile summary '" << name
-                << "' cannot be reconstructed from Prometheus text; "
-                   "dropped\n";
-    return snap;
-  }
+  if (text[first] != '{')
+    throw std::invalid_argument(
+        "not a JSON snapshot: " + path +
+        " (Prometheus text is export-only; read the JSON it came from)");
   // One object, or JSONL (one object per line): parse the first line; if
   // more lines follow, treat each as a snapshot of the same process over
   // time and keep the last one per gauge/stat while summing nothing —

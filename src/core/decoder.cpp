@@ -7,11 +7,6 @@
 #include "util/stopwatch.hpp"
 
 namespace hgc {
-namespace {
-// Mirrors coding_scheme.cpp's bound: a least-squares residual below this
-// certifies 1 ∈ rowspan(B_R), here read off the incremental factorization.
-constexpr double kDecodeResidualTolerance = 1e-8;
-}  // namespace
 
 std::optional<Vector> solve_decoding_coefficients(
     const CodingScheme& scheme, const std::vector<bool>& received) {
@@ -64,21 +59,13 @@ std::vector<DecodingRow> build_decoding_matrix(const CodingScheme& scheme) {
 }
 
 StreamingDecoder::StreamingDecoder(const CodingScheme& scheme,
-                                   DecodingCache* cache,
-                                   DecodeStrategy strategy)
+                                   DecodingCache* cache)
     : scheme_(scheme),
       cache_(cache),
-      strategy_(strategy),
       received_(scheme.num_workers(), false),
       coded_(scheme.num_workers()) {
   HGC_REQUIRE(!cache_ || &cache_->scheme() == &scheme_,
               "decoding cache must wrap the decoder's scheme");
-  HGC_REQUIRE(!cache_ || strategy_ == DecodeStrategy::kCanonical,
-              "a decoding cache and the incremental strategy are exclusive");
-  if (strategy_ == DecodeStrategy::kIncremental) {
-    const Vector ones(scheme_.num_partitions(), 1.0);
-    iqr_.reset(ones);
-  }
 }
 
 bool StreamingDecoder::add_result(WorkerId w, Vector coded_gradient) {
@@ -88,31 +75,10 @@ bool StreamingDecoder::add_result(WorkerId w, Vector coded_gradient) {
   coded_[w] = std::move(coded_gradient);
   ++received_count_;
   if (coefficients_) return false;  // already decodable, extra result unused
-  if (strategy_ == DecodeStrategy::kIncremental) {
-    // Fold worker w's B row into the factorization even before enough
-    // results arrived — that is the whole point: per-arrival cost stays
-    // O(k·rank) and the decodability test below is a free residual read.
-    const SparseRowMatrix& b = scheme_.sparse_matrix();
-    iqr_.append_scattered(b.row_cols(w), b.row_values(w));
-    arrival_order_.push_back(w);
-    if (received_count_ < scheme_.min_results_required()) return false;
-    return try_decode_incremental();
-  }
   if (received_count_ < scheme_.min_results_required()) return false;
   coefficients_ = cache_ ? cache_->decode(received_)
                          : solve_decoding_coefficients(scheme_, received_);
   return coefficients_.has_value();
-}
-
-bool StreamingDecoder::try_decode_incremental() {
-  if (iqr_.residual_norm() > kDecodeResidualTolerance) return false;
-  Vector x;
-  iqr_.solve_into(x);
-  Vector coefficients(scheme_.num_workers(), 0.0);
-  for (std::size_t i = 0; i < arrival_order_.size(); ++i)
-    coefficients[arrival_order_[i]] = x[i];
-  coefficients_ = std::move(coefficients);
-  return true;
 }
 
 Vector StreamingDecoder::aggregate() const {
@@ -142,11 +108,6 @@ void StreamingDecoder::reset() {
   for (auto& v : coded_) v.clear();
   received_count_ = 0;
   coefficients_.reset();
-  if (strategy_ == DecodeStrategy::kIncremental) {
-    arrival_order_.clear();
-    const Vector ones(scheme_.num_partitions(), 1.0);
-    iqr_.reset(ones);
-  }
 }
 
 }  // namespace hgc

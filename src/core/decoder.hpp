@@ -13,24 +13,8 @@
 #include "core/coding_scheme.hpp"
 #include "core/decoding_cache.hpp"
 #include "core/types.hpp"
-#include "linalg/incremental_qr.hpp"
 
 namespace hgc {
-
-/// How StreamingDecoder tests decodability as results arrive.
-enum class DecodeStrategy {
-  /// Re-solve the prefix through the scheme's canonical decode (fast paths
-  /// + pivoted least squares). This is the byte-identity reference path —
-  /// every CSV the repo pins flows through it.
-  kCanonical,
-  /// Maintain an append-only QR of (B_R)ᵀ across arrivals: O(k·n) per
-  /// arrival instead of a fresh O(k·n²) factorization per prefix check.
-  /// Produces valid coefficients (a·B = 1 within the decode tolerance) but
-  /// NOT necessarily the canonical bytes — the unpivoted incremental
-  /// factorization may pick a different basic solution. Opt-in, and
-  /// incompatible with a DecodingCache (the cache stores canonical rows).
-  kIncremental,
-};
 
 /// One row of the decoding matrix: the straggler pattern it serves and the
 /// worker coefficients that recover the gradient under that pattern.
@@ -53,7 +37,7 @@ std::vector<DecodingRow> build_decoding_matrix(const CodingScheme& scheme);
 std::optional<Vector> solve_decoding_coefficients(
     const CodingScheme& scheme, const std::vector<bool>& received);
 
-/// Incremental master-side decoder. Results are added in arrival order; the
+/// Streaming master-side decoder. Results are added in arrival order; the
 /// decoder re-checks decodability per arrival (skipping checks that cannot
 /// succeed yet) and caches the coefficients once found.
 class StreamingDecoder {
@@ -61,11 +45,9 @@ class StreamingDecoder {
   /// `cache`, when non-null, must wrap the same scheme instance; decodability
   /// checks then go through its LRU (the paper's "regular stragglers"
   /// optimization) instead of re-solving per arrival. The cache may be
-  /// shared across iterations but not across threads. A cache and
-  /// DecodeStrategy::kIncremental are mutually exclusive.
+  /// shared across iterations but not across threads.
   explicit StreamingDecoder(const CodingScheme& scheme,
-                            DecodingCache* cache = nullptr,
-                            DecodeStrategy strategy = DecodeStrategy::kCanonical);
+                            DecodingCache* cache = nullptr);
 
   /// Record worker w's coded gradient. Returns true if the aggregate became
   /// decodable with this arrival.
@@ -88,19 +70,12 @@ class StreamingDecoder {
   void reset();
 
  private:
-  bool try_decode_incremental();
-
   const CodingScheme& scheme_;
   DecodingCache* cache_;
-  DecodeStrategy strategy_;
   std::vector<bool> received_;
   std::vector<Vector> coded_;
   std::size_t received_count_ = 0;
   std::optional<Vector> coefficients_;
-  // kIncremental state: the growing factorization of (B_R)ᵀ plus the
-  // arrival order its columns were appended in.
-  IncrementalQr iqr_;
-  std::vector<WorkerId> arrival_order_;
 };
 
 }  // namespace hgc

@@ -12,6 +12,7 @@
 #include <optional>
 
 #include "net/network.hpp"
+#include "util/error.hpp"
 
 namespace hgc::engine {
 
@@ -45,10 +46,16 @@ class FixedLatencyLink : public Link {
 };
 
 /// Adapter over the seeded lossy network model; drops and byte accounting
-/// stay inside the wrapped SimulatedNetwork.
+/// stay inside the wrapped SimulatedNetwork. `workers` is the round's worker
+/// count m: the network must address nodes 0..m-1 plus the master at node m,
+/// checked here so an undersized network fails before any message is sent.
 class NetworkLink : public Link {
  public:
-  explicit NetworkLink(SimulatedNetwork& network) : network_(&network) {}
+  NetworkLink(SimulatedNetwork& network, std::size_t workers)
+      : network_(&network) {
+    HGC_REQUIRE(network.nodes() >= workers + 1,
+                "network needs one node per worker plus the master");
+  }
 
   std::optional<double> transmit(NodeId from, NodeId to, std::size_t bytes,
                                  double send_time) override {

@@ -12,9 +12,8 @@
 namespace hgc::engine {
 
 MasterActor::MasterActor(Simulation& sim, const CodingScheme& scheme,
-                         DecodingCache* decoding_cache,
-                         DecodeStrategy strategy)
-    : Actor(sim, "master"), decoder_(scheme, decoding_cache, strategy) {}
+                         DecodingCache* decoding_cache)
+    : Actor(sim, "master"), decoder_(scheme, decoding_cache) {}
 
 void MasterActor::begin_round(std::uint64_t iteration) {
   decoder_.reset();
@@ -131,8 +130,7 @@ RoundOutcome run_round(const CodingScheme& scheme, const Cluster& cluster,
               "wire frames require partition gradients");
 
   Simulation sim;
-  MasterActor master(sim, scheme, options.decoding_cache,
-                     options.decode_strategy);
+  MasterActor master(sim, scheme, options.decoding_cache);
   master.begin_round(options.iteration);
 
   RoundOutcome outcome;

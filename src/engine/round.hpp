@@ -1,18 +1,22 @@
-// One coded aggregation round as a cast of engine actors.
+// One coded aggregation round as a cast of engine actors — the single round
+// entry point every driver (sweeps, trainers, scenario scripts, the
+// networked stack) goes through.
 //
-// This is the event-driven replacement for the bespoke sort-and-scan loops
-// that used to live in sim/iteration.cpp and net/coded_round.cpp: every
-// WorkerActor computes, waits out its injected delay, and ships its coded
-// result through a Link; the MasterActor feeds arrivals to a StreamingDecoder
-// and stops the clock at the first decodable prefix. Equal arrival times
-// resolve in worker-id order (arrival events are tagged with the worker id),
-// matching the previous implementations' (time, worker) sort.
+// Workers start computing at t = 0. Worker w holding load(w) of the k
+// partitions finishes computing at (load/k) / (throughput·speed_factor),
+// waits out its injected delay, and ships its coded result through a Link;
+// the MasterActor feeds arrivals to a StreamingDecoder and stops the clock
+// at the first decodable prefix — the T(B, S) semantics of Section III-C
+// generalized to delayed (not just full) stragglers. Equal arrival times
+// resolve in worker-id order (arrival events are tagged with the worker id).
 //
 // Two payload modes share the same event flow:
-//   * timing-only (partition_gradients == nullptr): empty payloads; callers
-//     want the decode time, coefficients and resource usage (sim/).
+//   * timing-only (partition_gradients == nullptr) over a FixedLatencyLink:
+//     empty payloads; callers want the decode time, coefficients and
+//     resource usage (sim/, the virtual-clock trainers).
 //   * real payloads, optionally wire-framed through net/wire with checksums
-//     and an iteration tag (net/, the networked trainer).
+//     and an iteration tag, over a NetworkLink (the loss ablation, the
+//     networked trainer).
 #pragma once
 
 #include <cstdint>
@@ -44,11 +48,6 @@ struct RoundOptions {
   /// straggler patterns skip the O(s³) solve; not thread-safe, so parallel
   /// callers keep one per thread.
   DecodingCache* decoding_cache = nullptr;
-  /// How the master's StreamingDecoder tests prefixes. kCanonical is the
-  /// byte-identity reference; kIncremental maintains an append-only QR
-  /// across arrivals (O(k·n) per arrival) and is incompatible with
-  /// `decoding_cache`. See core/decoder.hpp.
-  DecodeStrategy decode_strategy = DecodeStrategy::kCanonical;
   /// Observability routing — never affects results. When non-zero (and the
   /// tracer is on), the round lays its master/worker timeline out on this
   /// virtual-clock track of the Chrome trace (sweep cells claim
@@ -80,8 +79,7 @@ struct RoundOutcome {
 class MasterActor : public Actor {
  public:
   MasterActor(Simulation& sim, const CodingScheme& scheme,
-              DecodingCache* decoding_cache = nullptr,
-              DecodeStrategy strategy = DecodeStrategy::kCanonical);
+              DecodingCache* decoding_cache = nullptr);
 
   /// Arm for (another) round; resets the decoder. `iteration` is the tag
   /// expected on incoming wire frames.

@@ -7,9 +7,10 @@
 #include <memory>
 #include <stdexcept>
 
+#include "engine/link.hpp"
+#include "engine/round.hpp"
 #include "ml/dataset.hpp"
 #include "ml/model.hpp"
-#include "net/coded_round.hpp"
 #include "net/network.hpp"
 #include "runtime/sim_trainer.hpp"
 #include "runtime/ssp_trainer.hpp"
@@ -290,6 +291,10 @@ FigureSweep loss_sweep(std::size_t iterations) {
     std::vector<Vector> local = grads;
     local.resize(scheme->num_partitions(), Vector(8, 0.1));
     SimulatedNetwork network(m + 1, {0.001, 1e8, drop}, Rng(31));
+    engine::NetworkLink link(network, m);
+    engine::RoundOptions options;
+    options.partition_gradients = &local;
+    options.wire_frames = true;
     StragglerModel model;
     model.fluctuation_sigma = 0.02;
     Rng condition_rng(37);
@@ -299,8 +304,9 @@ FigureSweep loss_sweep(std::size_t iterations) {
     const std::size_t iters = cell.experiment.iterations;
     for (std::size_t iter = 0; iter < iters; ++iter) {
       const auto cond = model.draw(m, condition_rng);
+      options.iteration = iter;
       const auto round =
-          run_coded_round(*scheme, cluster, cond, local, network, iter);
+          engine::run_round(*scheme, cluster, cond, link, options);
       if (round.decoded)
         times.add(round.time);
       else

@@ -221,17 +221,9 @@ struct Snapshot {
   /// as `_sum`/`_count` summaries plus `_mean`/`_min`/`_max`/`_stddev`
   /// gauges,
   /// quantile estimators as summaries with `quantile` labels. Original
-  /// dotted metric names ride along in `# HELP` lines so read_prometheus
-  /// can restore them.
+  /// dotted metric names ride along in `# HELP` lines. Export-only: JSON is
+  /// the exact format and the only one read back.
   void write_prometheus(std::ostream& os) const;
-
-  /// Parse write_prometheus output back into a snapshot. Counters, gauges
-  /// and histograms round-trip; stats come back with count/mean/min/max
-  /// exact and variance reconstructed from the stddev line; quantile
-  /// summaries cannot be reconstructed (their reservoir state is not in
-  /// the exposition) and are reported via `skipped` instead.
-  static Snapshot read_prometheus(std::istream& is,
-                                  std::vector<std::string>* skipped = nullptr);
 
   friend bool operator==(const Snapshot& a, const Snapshot& b) {
     return a.unix_ns == b.unix_ns && a.counters == b.counters &&

@@ -6,9 +6,9 @@
 // Exactness contract: write_json emits 64-bit integers as plain integer
 // tokens and doubles in std::to_chars shortest-round-trip form, so
 // read_json(write_json(s)) == s to the bit — including counters past 2^53
-// and the reservoir's splitmix64 state. Prometheus is lossier by design
-// (quantile reservoirs are not in the exposition, gauge timestamps are
-// millisecond-granular); read_prometheus reports what it had to drop.
+// and the reservoir's splitmix64 state. Prometheus is export-only: it is
+// lossier by design (quantile reservoirs are not in the exposition, gauge
+// timestamps are millisecond-granular), so nothing parses it back.
 #include "obs/metrics.hpp"
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include <charconv>
 #include <cmath>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -359,45 +358,11 @@ void prom_value(std::ostream& os, double v) {
   os.write(buf, result.ptr - buf);
 }
 
-double parse_prom_double(const std::string& raw) {
-  if (raw == "+Inf" || raw == "Inf")
-    return std::numeric_limits<double>::infinity();
-  if (raw == "-Inf") return -std::numeric_limits<double>::infinity();
-  if (raw == "NaN") return std::numeric_limits<double>::quiet_NaN();
-  double v = 0.0;
-  const auto result = std::from_chars(raw.data(), raw.data() + raw.size(), v);
-  if (result.ec != std::errc{} || result.ptr != raw.data() + raw.size())
-    throw std::runtime_error("prometheus: bad float: " + raw);
-  return v;
-}
-
-std::uint64_t parse_prom_u64(const std::string& raw) {
-  std::uint64_t v = 0;
-  const auto result = std::from_chars(raw.data(), raw.data() + raw.size(), v);
-  if (result.ec != std::errc{} || result.ptr != raw.data() + raw.size())
-    throw std::runtime_error("prometheus: bad integer: " + raw);
-  return v;
-}
-
-std::int64_t parse_prom_i64(const std::string& raw) {
-  std::int64_t v = 0;
-  const auto result = std::from_chars(raw.data(), raw.data() + raw.size(), v);
-  if (result.ec != std::errc{} || result.ptr != raw.data() + raw.size())
-    throw std::runtime_error("prometheus: bad integer: " + raw);
-  return v;
-}
-
-struct PromSample {
-  std::map<std::string, std::string> labels;
-  std::string value;  ///< raw token, parsed per-kind for exactness
-  std::string ts;     ///< optional trailing timestamp (milliseconds)
-};
-
 }  // namespace
 
 void Snapshot::write_prometheus(std::ostream& os) const {
-  // `# HELP` carries the original dotted name (plus an `hgc:` marker for
-  // families that need one) so read_prometheus can reverse the mapping.
+  // `# HELP` carries the original dotted name (plus an `hgc:` marker naming
+  // the registry kind a family was flattened from).
   if (unix_ns != 0) {
     os << "# HELP hgc_snapshot_unix_ns snapshot wall time, unix ns\n"
           "# TYPE hgc_snapshot_unix_ns gauge\n"
@@ -471,145 +436,6 @@ void Snapshot::write_prometheus(std::ostream& os) const {
     }
     os << f << "_count " << q.count() << "\n";
   }
-}
-
-Snapshot Snapshot::read_prometheus(std::istream& is,
-                                   std::vector<std::string>* skipped) {
-  std::map<std::string, std::vector<PromSample>> samples;
-  std::map<std::string, std::string> help_text, type_of;
-  std::vector<std::string> order;  // families, in `# TYPE` line order
-
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      std::istringstream ls(line);
-      std::string hash, kw, fam;
-      ls >> hash >> kw >> fam;
-      if (kw == "HELP") {
-        std::string rest;
-        std::getline(ls, rest);
-        if (!rest.empty() && rest.front() == ' ') rest.erase(0, 1);
-        help_text[fam] = rest;
-      } else if (kw == "TYPE") {
-        std::string t;
-        ls >> t;
-        type_of[fam] = t;
-        order.push_back(fam);
-      }
-      continue;
-    }
-
-    const std::size_t brace = line.find('{');
-    const std::size_t space = line.find(' ');
-    if (space == std::string::npos)
-      throw std::runtime_error("prometheus: malformed line: " + line);
-    PromSample sample;
-    std::string metric;
-    std::size_t rest_pos;
-    if (brace != std::string::npos && brace < space) {
-      metric = line.substr(0, brace);
-      const std::size_t close = line.find('}', brace);
-      if (close == std::string::npos)
-        throw std::runtime_error("prometheus: unterminated labels: " + line);
-      std::string labels = line.substr(brace + 1, close - brace - 1);
-      std::istringstream lab(labels);
-      std::string item;
-      while (std::getline(lab, item, ',')) {
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos) continue;
-        std::string key = item.substr(0, eq);
-        std::string val = item.substr(eq + 1);
-        if (val.size() >= 2 && val.front() == '"' && val.back() == '"')
-          val = val.substr(1, val.size() - 2);
-        sample.labels[key] = val;
-      }
-      rest_pos = close + 1;
-    } else {
-      metric = line.substr(0, space);
-      rest_pos = space;
-    }
-    std::istringstream rs(line.substr(rest_pos));
-    rs >> sample.value >> sample.ts;
-    samples[metric].push_back(std::move(sample));
-  }
-
-  const auto first = [&samples](const std::string& metric) -> PromSample& {
-    const auto it = samples.find(metric);
-    if (it == samples.end() || it->second.empty())
-      throw std::runtime_error("prometheus: missing series: " + metric);
-    return it->second.front();
-  };
-
-  Snapshot snap;
-  for (const std::string& fam : order) {
-    if (fam == "hgc_snapshot_unix_ns") {
-      snap.unix_ns = parse_prom_i64(first(fam).value);
-      continue;
-    }
-    // HELP text is "<original.dotted.name> [hgc:marker]".
-    std::string orig = help_text[fam], marker;
-    if (const std::size_t sp = orig.rfind(' '); sp != std::string::npos &&
-        orig.compare(sp + 1, 4, "hgc:") == 0) {
-      marker = orig.substr(sp + 1);
-      orig.resize(sp);
-    }
-    if (orig.empty())
-      throw std::runtime_error("prometheus: family '" + fam +
-                               "' has no HELP line with its original name");
-    const std::string& type = type_of[fam];
-
-    if (type == "counter") {
-      snap.counters[orig] = parse_prom_u64(first(fam).value);
-    } else if (type == "gauge") {
-      if (marker == "hgc:stat-part") continue;  // folded into its stat below
-      const PromSample& sample = first(fam);
-      snap.gauges[orig] = GaugeSnapshot{
-          parse_prom_double(sample.value),
-          sample.ts.empty() ? 0 : parse_prom_i64(sample.ts) * 1'000'000};
-    } else if (type == "histogram") {
-      HistogramSnapshot h;
-      std::uint64_t prev = 0;
-      const auto it = samples.find(fam + "_bucket");
-      if (it == samples.end())
-        throw std::runtime_error("prometheus: histogram '" + fam +
-                                 "' has no _bucket series");
-      for (const PromSample& bucket : it->second) {
-        const auto le = bucket.labels.find("le");
-        if (le == bucket.labels.end())
-          throw std::runtime_error("prometheus: bucket without le label");
-        const std::uint64_t cum = parse_prom_u64(bucket.value);
-        if (cum < prev)
-          throw std::runtime_error("prometheus: non-cumulative buckets in " +
-                                   fam);
-        h.counts.push_back(cum - prev);
-        prev = cum;
-        if (le->second != "+Inf") h.bounds.push_back(
-            parse_prom_double(le->second));
-      }
-      if (h.counts.size() != h.bounds.size() + 1)
-        throw std::runtime_error("prometheus: histogram '" + fam +
-                                 "' is missing its +Inf bucket");
-      h.sum = parse_prom_double(first(fam + "_sum").value);
-      snap.histograms[orig] = std::move(h);
-    } else if (type == "summary") {
-      if (marker == "hgc:quantile") {
-        // The reservoir's state is not in the exposition; report the loss
-        // instead of fabricating an estimator.
-        if (skipped) skipped->push_back(orig);
-        continue;
-      }
-      const std::uint64_t count = parse_prom_u64(first(fam + "_count").value);
-      const double mean = parse_prom_double(first(fam + "_mean").value);
-      const double sd = parse_prom_double(first(fam + "_stddev").value);
-      snap.stats[orig] = RunningStats::from_parts(
-          count, mean,
-          count > 1 ? sd * sd * static_cast<double>(count - 1) : 0.0,
-          parse_prom_double(first(fam + "_min").value),
-          parse_prom_double(first(fam + "_max").value));
-    }
-  }
-  return snap;
 }
 
 }  // namespace hgc::obs

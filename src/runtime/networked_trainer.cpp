@@ -1,6 +1,7 @@
 #include "runtime/networked_trainer.hpp"
 
-#include "net/coded_round.hpp"
+#include "engine/link.hpp"
+#include "engine/round.hpp"
 #include "sim/iteration.hpp"
 #include "util/error.hpp"
 
@@ -25,6 +26,7 @@ NetworkedTrainingResult train_bsp_networked(
       partition_rows(data.size(), scheme->num_partitions());
 
   SimulatedNetwork network(m + 1, config.link, Rng(config.seed + 0x2222));
+  engine::NetworkLink link(network, m);
 
   Vector params = model.init_params(init_rng);
   SgdOptimizer optimizer(config.sgd, params.size());
@@ -38,14 +40,18 @@ NetworkedTrainingResult train_bsp_networked(
   for (std::size_t iter = 1; iter <= config.iterations; ++iter) {
     const auto grads =
         all_partition_gradients(model, data, partitions, params);
+    engine::RoundOptions options;
+    options.partition_gradients = &grads;
+    options.wire_frames = true;
+    options.iteration = iter;
 
     bool stepped = false;
     for (std::size_t attempt = 0; attempt < config.max_round_retries;
          ++attempt) {
       const IterationConditions conditions =
           config.straggler_model.draw(m, condition_rng);
-      const NetworkRoundResult round = run_coded_round(
-          *scheme, cluster, conditions, grads, network, iter);
+      engine::RoundOutcome round =
+          engine::run_round(*scheme, cluster, conditions, link, options);
       result.messages_dropped += round.dropped;
       if (!round.decoded) {
         ++result.rounds_retried;
@@ -55,9 +61,8 @@ NetworkedTrainingResult train_bsp_networked(
         continue;
       }
       clock += round.time;
-      Vector aggregate = round.aggregate;
-      scale(inv_n, aggregate);
-      optimizer.step(params, aggregate);
+      scale(inv_n, round.aggregate);
+      optimizer.step(params, round.aggregate);
       stepped = true;
       break;
     }

@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "core/coding_scheme.hpp"
+#include "engine/link.hpp"
+#include "engine/round.hpp"
 #include "util/error.hpp"
 
 namespace hgc {
@@ -37,25 +39,28 @@ BspTrainingResult train_bsp_coded(SchemeKind kind, const Cluster& cluster,
   double clock = 0.0;
   result.trace.points.push_back({0.0, mean_loss(model, data, params), 0});
 
+  engine::FixedLatencyLink link(config.sim.comm_latency);
+  engine::RoundOptions options;
+  options.trace_track = config.sim.trace_track;
   for (std::size_t iter = 1; iter <= config.iterations; ++iter) {
     const IterationConditions conditions =
         config.straggler_model.draw(m, condition_rng);
-    const IterationResult sim_result =
-        simulate_iteration(*scheme, cluster, conditions, config.sim);
-    if (!sim_result.decoded) {
+    const engine::RoundOutcome round =
+        engine::run_round(*scheme, cluster, conditions, link, options);
+    if (!round.decoded) {
       // The iteration never completes (e.g. naive + fault): the clock would
       // stall forever, so the run ends here.
       ++result.failed_iterations;
       break;
     }
-    clock += sim_result.time;
+    clock += round.time;
 
     // Real coded exchange: partition gradients -> worker encodings ->
     // master combination with the decode-time coefficients.
     const auto grads =
         all_partition_gradients(model, data, partitions, params);
     std::vector<Vector> coded(m);
-    const Vector& coefficients = *sim_result.coefficients;
+    const Vector& coefficients = *round.coefficients;
     for (WorkerId w = 0; w < m; ++w)
       if (coefficients[w] != 0.0) coded[w] = encode_gradient(*scheme, w, grads);
     Vector aggregate = combine_coded_gradients(coefficients, coded);

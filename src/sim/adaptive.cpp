@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "engine/link.hpp"
+#include "engine/round.hpp"
 #include "util/error.hpp"
 
 namespace hgc {
@@ -38,6 +40,9 @@ AdaptiveResult run_adaptive(const Cluster& cluster,
 
   AdaptiveResult result;
   result.iteration_times.reserve(config.iterations);
+  engine::FixedLatencyLink link(config.sim.comm_latency);
+  engine::RoundOptions options;
+  options.trace_track = config.sim.trace_track;
 
   for (std::size_t iter = 1; iter <= config.iterations; ++iter) {
     IterationConditions conditions = config.model.draw(m, condition_rng);
@@ -47,21 +52,21 @@ AdaptiveResult run_adaptive(const Cluster& cluster,
       conditions.speed_factor[config.drift.worker] *= config.drift.factor;
     }
 
-    const IterationResult sim_result =
-        simulate_iteration(*scheme, cluster, conditions, config.sim);
-    if (!sim_result.decoded) {
+    const engine::RoundOutcome round =
+        engine::run_round(*scheme, cluster, conditions, link, options);
+    if (!round.decoded) {
       ++result.failures;
       result.iteration_times.push_back(
           std::numeric_limits<double>::infinity());
     } else {
-      result.iteration_times.push_back(sim_result.time);
-      result.overall.add(sim_result.time);
+      result.iteration_times.push_back(round.time);
+      result.overall.add(round.time);
     }
 
     // Telemetry: observed compute durations update the estimator (workers
     // report their own compute time with the result / heartbeat).
     for (WorkerId w = 0; w < m; ++w) {
-      const double seconds = sim_result.compute_times[w];
+      const double seconds = round.compute_times[w];
       if (!std::isfinite(seconds)) continue;
       const double fraction = static_cast<double>(scheme->load(w)) /
                               static_cast<double>(scheme->num_partitions());

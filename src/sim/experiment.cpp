@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "engine/link.hpp"
+#include "engine/round.hpp"
 #include "util/error.hpp"
 
 namespace hgc {
@@ -66,26 +68,27 @@ SchemeSummary run_experiment(SchemeKind kind, const Cluster& cluster,
   SchemeSummary summary;
   summary.scheme = scheme->name();
   summary.iterations = config.iterations;
-  // Accumulated virtual time, only for laying iterations out end-to-end on
-  // the trace's virtual-clock track; results never read it.
-  double trace_clock = 0.0;
+  engine::FixedLatencyLink link(config.sim.comm_latency);
+  engine::RoundOptions options;
+  options.decoding_cache = decoding_cache ? &*decoding_cache : nullptr;
+  options.trace_track = config.sim.trace_track;
+  // options.trace_time_base accumulates virtual time only to lay iterations
+  // out end-to-end on the trace's virtual-clock track; results never read it.
   for (std::size_t iter = 0; iter < config.iterations; ++iter) {
     const IterationConditions conditions = config.model.draw(m, condition_rng);
     if (conditions_log) conditions_log->push_back(conditions);
-    const IterationResult result =
-        simulate_iteration(*scheme, cluster, conditions, config.sim,
-                           decoding_cache ? &*decoding_cache : nullptr,
-                           trace_clock);
-    if (!result.decoded) {
+    const engine::RoundOutcome round =
+        engine::run_round(*scheme, cluster, conditions, link, options);
+    if (!round.decoded) {
       ++summary.failures;
       // Advance the trace clock past the failed round anyway so its
       // undecodable marker does not pile onto the next iteration's span.
-      trace_clock += ideal_iteration_time(cluster, config.s);
+      options.trace_time_base += ideal_iteration_time(cluster, config.s);
       continue;
     }
-    trace_clock += result.time;
-    summary.iteration_time.add(result.time);
-    summary.resource_usage.add(result.resource_usage);
+    options.trace_time_base += round.time;
+    summary.iteration_time.add(round.time);
+    summary.resource_usage.add(round.resource_usage);
   }
   if (decoding_cache) {
     summary.decode_hits = decoding_cache->hits();

@@ -173,7 +173,7 @@ TEST(Links, NetworkLinkForwardsDrops) {
   LinkParams params;
   params.drop_probability = 1.0;
   SimulatedNetwork network(4, params, Rng(9));
-  NetworkLink link(network);
+  NetworkLink link(network, 3);
   EXPECT_FALSE(link.transmit(0, 3, 100, 0.0).has_value());
   EXPECT_EQ(network.messages_dropped(), 1u);
 }
@@ -254,7 +254,7 @@ TEST(EngineRound, WireFramesOverNetworkRecoverAggregate) {
   std::vector<Vector> grads(7);
   for (std::size_t p = 0; p < 7; ++p) grads[p] = {double(p + 1)};
   SimulatedNetwork network(6, LinkParams{}, Rng(86));
-  NetworkLink link(network);
+  NetworkLink link(network, 5);
   RoundOptions options;
   options.partition_gradients = &grads;
   options.wire_frames = true;
@@ -278,7 +278,7 @@ TEST(EngineRound, LostMessagesAreCountedAsDropped) {
   LinkParams lossy;
   lossy.drop_probability = 1.0;
   SimulatedNetwork network(6, lossy, Rng(88));
-  NetworkLink link(network);
+  NetworkLink link(network, 5);
   RoundOptions options;
   options.partition_gradients = &grads;
   options.wire_frames = true;

@@ -1,7 +1,10 @@
-// Tests for the event-driven iteration simulator and experiment harness.
+// Tests for timing-only engine rounds (the iteration simulator) and the
+// experiment harness.
 #include <gtest/gtest.h>
 
 #include "core/scheme_factory.hpp"
+#include "engine/link.hpp"
+#include "engine/round.hpp"
 #include "sim/experiment.hpp"
 #include "sim/iteration.hpp"
 
@@ -16,25 +19,32 @@ IterationConditions clean_conditions(std::size_t m) {
   return cond;
 }
 
-TEST(SimulateIteration, HeterAwareHitsIdealTime) {
+/// One timing-only round over a constant-latency link.
+engine::RoundOutcome timing_round(const CodingScheme& scheme,
+                                  const Cluster& cluster,
+                                  const IterationConditions& conditions,
+                                  double comm_latency = 0.0) {
+  engine::FixedLatencyLink link(comm_latency);
+  return engine::run_round(scheme, cluster, conditions, link);
+}
+
+TEST(TimingRound, HeterAwareHitsIdealTime) {
   Rng rng(71);
   const Cluster cluster = cluster_a();
   const auto scheme = make_scheme(SchemeKind::kHeterAware,
                                   cluster.throughputs(), 24, 1, rng);
-  const auto result =
-      simulate_iteration(*scheme, cluster, clean_conditions(8));
+  const auto result = timing_round(*scheme, cluster, clean_conditions(8));
   ASSERT_TRUE(result.decoded);
   // Perfect proportional allocation: decode at (s+1)/Σc.
   EXPECT_NEAR(result.time, ideal_iteration_time(cluster, 1), 1e-9);
 }
 
-TEST(SimulateIteration, NaiveWaitsForSlowestWorker) {
+TEST(TimingRound, NaiveWaitsForSlowestWorker) {
   Rng rng(72);
   const Cluster cluster = cluster_a();
   const auto scheme =
       make_scheme(SchemeKind::kNaive, cluster.throughputs(), 8, 0, rng);
-  const auto result =
-      simulate_iteration(*scheme, cluster, clean_conditions(8));
+  const auto result = timing_round(*scheme, cluster, clean_conditions(8));
   ASSERT_TRUE(result.decoded);
   // Naive: k = m = 8 equal partitions; slowest worker (c=2) takes
   // (1/8)/2 = 0.0625 s.
@@ -42,20 +52,19 @@ TEST(SimulateIteration, NaiveWaitsForSlowestWorker) {
   EXPECT_EQ(result.results_used, 8u);
 }
 
-TEST(SimulateIteration, CyclicPinnedToSlowestSurvivor) {
+TEST(TimingRound, CyclicPinnedToSlowestSurvivor) {
   Rng rng(73);
   const Cluster cluster = cluster_a();
   const auto scheme =
       make_scheme(SchemeKind::kCyclic, cluster.throughputs(), 8, 1, rng);
-  const auto result =
-      simulate_iteration(*scheme, cluster, clean_conditions(8));
+  const auto result = timing_round(*scheme, cluster, clean_conditions(8));
   ASSERT_TRUE(result.decoded);
   // Cyclic load = s+1 = 2 of 8 partitions; needs m−s = 7 results, so the
   // 2nd slowest worker (c = 2) gates: (2/8)/2 = 0.125 s.
   EXPECT_NEAR(result.time, 0.125, 1e-12);
 }
 
-TEST(SimulateIteration, FaultKillsNaiveButNotCoded) {
+TEST(TimingRound, FaultKillsNaiveButNotCoded) {
   Rng rng(74);
   const Cluster cluster = cluster_a();
   auto cond = clean_conditions(8);
@@ -63,73 +72,67 @@ TEST(SimulateIteration, FaultKillsNaiveButNotCoded) {
 
   const auto naive =
       make_scheme(SchemeKind::kNaive, cluster.throughputs(), 8, 0, rng);
-  EXPECT_FALSE(simulate_iteration(*naive, cluster, cond).decoded);
+  EXPECT_FALSE(timing_round(*naive, cluster, cond).decoded);
 
   const auto heter = make_scheme(SchemeKind::kHeterAware,
                                  cluster.throughputs(), 24, 1, rng);
-  const auto result = simulate_iteration(*heter, cluster, cond);
+  const auto result = timing_round(*heter, cluster, cond);
   EXPECT_TRUE(result.decoded);
   EXPECT_NEAR(result.time, ideal_iteration_time(cluster, 1), 1e-9);
 }
 
-TEST(SimulateIteration, DelayOnStragglerIsAbsorbed) {
+TEST(TimingRound, DelayOnStragglerIsAbsorbed) {
   Rng rng(75);
   const Cluster cluster = cluster_a();
   const auto heter = make_scheme(SchemeKind::kHeterAware,
                                  cluster.throughputs(), 24, 1, rng);
   auto cond = clean_conditions(8);
   cond.delay[3] = 100.0;  // one delayed worker, s = 1
-  const auto result = simulate_iteration(*heter, cluster, cond);
+  const auto result = timing_round(*heter, cluster, cond);
   ASSERT_TRUE(result.decoded);
   EXPECT_NEAR(result.time, ideal_iteration_time(cluster, 1), 1e-9);
 }
 
-TEST(SimulateIteration, CommLatencyShiftsEverything) {
+TEST(TimingRound, CommLatencyShiftsEverything) {
   Rng rng(76);
   const Cluster cluster = cluster_a();
   const auto heter = make_scheme(SchemeKind::kHeterAware,
                                  cluster.throughputs(), 24, 1, rng);
-  SimParams params;
-  params.comm_latency = 0.01;
-  const auto result =
-      simulate_iteration(*heter, cluster, clean_conditions(8), params);
+  const auto result = timing_round(*heter, cluster, clean_conditions(8), 0.01);
   ASSERT_TRUE(result.decoded);
   EXPECT_NEAR(result.time, ideal_iteration_time(cluster, 1) + 0.01, 1e-9);
 }
 
-TEST(SimulateIteration, ResourceUsageNearOneWhenBalanced) {
+TEST(TimingRound, ResourceUsageNearOneWhenBalanced) {
   Rng rng(77);
   const Cluster cluster = cluster_a();
   const auto heter = make_scheme(SchemeKind::kHeterAware,
                                  cluster.throughputs(), 24, 1, rng);
-  const auto result =
-      simulate_iteration(*heter, cluster, clean_conditions(8));
+  const auto result = timing_round(*heter, cluster, clean_conditions(8));
   ASSERT_TRUE(result.decoded);
   // Every worker computes until the common decode time.
   EXPECT_GT(result.resource_usage, 0.95);
   EXPECT_LE(result.resource_usage, 1.0 + 1e-12);
 }
 
-TEST(SimulateIteration, NaiveResourceUsageLowOnHeterogeneousCluster) {
+TEST(TimingRound, NaiveResourceUsageLowOnHeterogeneousCluster) {
   Rng rng(78);
   const Cluster cluster = cluster_a();
   const auto naive =
       make_scheme(SchemeKind::kNaive, cluster.throughputs(), 8, 0, rng);
-  const auto result =
-      simulate_iteration(*naive, cluster, clean_conditions(8));
+  const auto result = timing_round(*naive, cluster, clean_conditions(8));
   ASSERT_TRUE(result.decoded);
   // Fast workers idle while the slowest finishes: usage = mean(c_min/c_i).
   EXPECT_LT(result.resource_usage, 0.6);
 }
 
-TEST(SimulateIteration, RejectsMismatchedSizes) {
+TEST(TimingRound, RejectsMismatchedSizes) {
   Rng rng(79);
   const Cluster cluster = cluster_a();
   const auto scheme =
       make_scheme(SchemeKind::kNaive, cluster.throughputs(), 8, 0, rng);
-  EXPECT_THROW(
-      simulate_iteration(*scheme, cluster, clean_conditions(5)),
-      std::invalid_argument);
+  EXPECT_THROW(timing_round(*scheme, cluster, clean_conditions(5)),
+               std::invalid_argument);
 }
 
 TEST(Experiment, DeterministicAcrossRuns) {

@@ -8,8 +8,6 @@
 //     packing (factor_transposed's sparse scatter vs the dense gather),
 //     encode_gradient, and decoding_coefficients, over scheme kinds ×
 //     backends × straggler patterns;
-//   * the incremental streaming decoder (valid, possibly non-canonical
-//     coefficients) against the canonical path;
 //   * sample_straggler_patterns' exact/sampled auto-selection and its
 //     documented RNG stream;
 //   * a threaded hammer racing the lazy dense view and concurrent decodes
@@ -27,8 +25,6 @@
 
 #include "core/coding_scheme.hpp"
 #include "core/cyclic.hpp"
-#include "core/decoder.hpp"
-#include "core/decoding_cache.hpp"
 #include "core/robustness.hpp"
 #include "core/scheme_factory.hpp"
 #include "linalg/kernels.hpp"
@@ -43,9 +39,8 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 std::vector<kernels::Backend> all_available_backends() {
   std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
-  for (kernels::Backend b :
-       {kernels::Backend::kAvx2, kernels::Backend::kNeon})
-    if (kernels::backend_available(b)) backends.push_back(b);
+  if (kernels::backend_available(kernels::Backend::kAvx2))
+    backends.push_back(kernels::Backend::kAvx2);
   return backends;
 }
 
@@ -358,87 +353,6 @@ TEST(SparseSchemes, AssignmentDerivedFromRowStructure) {
   }
 }
 
-// --------------------------------------------- incremental decoding --
-
-TEST(IncrementalDecoder, AgreesWithCanonicalOnDecodabilityAndAggregate) {
-  Rng rng(309);
-  const CyclicScheme scheme(8, 2, rng);
-  const std::size_t k = scheme.num_partitions();
-  const std::size_t dim = 17;
-  std::vector<Vector> gradients(k);
-  Vector expected(dim, 0.0);
-  for (auto& g : gradients) {
-    g.resize(dim);
-    for (double& v : g) v = rng.normal();
-    for (std::size_t i = 0; i < dim; ++i) expected[i] += g[i];
-  }
-
-  // Several arrival orders, including ones where early prefixes cannot
-  // decode yet.
-  const std::vector<std::vector<WorkerId>> orders = {
-      {0, 1, 2, 3, 4, 5},       {7, 6, 5, 4, 3, 2},
-      {0, 4, 1, 5, 2, 6, 3, 7}, {3, 0, 6, 2, 7, 5}};
-  for (const auto& order : orders) {
-    StreamingDecoder canonical(scheme);
-    StreamingDecoder incremental(scheme, nullptr,
-                                 DecodeStrategy::kIncremental);
-    for (WorkerId w : order) {
-      Vector coded = encode_gradient(scheme, w, gradients);
-      canonical.add_result(w, coded);
-      incremental.add_result(w, std::move(coded));
-      ASSERT_EQ(incremental.ready(), canonical.ready())
-          << "after worker " << w;
-    }
-    ASSERT_TRUE(incremental.ready());
-
-    // The incremental coefficients may not be the canonical bytes, but they
-    // must be valid: a·B = 1 and the aggregate must be Σ g_j.
-    Vector a(scheme.num_workers(), 0.0);
-    const Vector& coeffs = incremental.coefficients();
-    ASSERT_EQ(coeffs.size(), a.size());
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] = coeffs[i];
-    Vector product(k);
-    sparse::gemv_t(scheme.sparse_matrix(), a, product);
-    for (std::size_t j = 0; j < k; ++j)
-      EXPECT_NEAR(product[j], 1.0, 1e-8) << "a·B column " << j;
-
-    const Vector aggregate = incremental.aggregate();
-    const Vector canonical_aggregate = canonical.aggregate();
-    for (std::size_t i = 0; i < dim; ++i) {
-      EXPECT_NEAR(aggregate[i], expected[i], 1e-8);
-      EXPECT_NEAR(aggregate[i], canonical_aggregate[i], 1e-8);
-    }
-  }
-}
-
-TEST(IncrementalDecoder, ResetSupportsReuseAcrossIterations) {
-  Rng rng(310);
-  const CyclicScheme scheme(6, 1, rng);
-  std::vector<Vector> gradients(scheme.num_partitions());
-  for (auto& g : gradients) {
-    g.resize(5);
-    for (double& v : g) v = rng.normal();
-  }
-  StreamingDecoder decoder(scheme, nullptr, DecodeStrategy::kIncremental);
-  for (int iteration = 0; iteration < 3; ++iteration) {
-    for (WorkerId w = 0; w + 1 < scheme.num_workers(); ++w)
-      decoder.add_result(w, encode_gradient(scheme, w, gradients));
-    ASSERT_TRUE(decoder.ready()) << "iteration " << iteration;
-    decoder.reset();
-    EXPECT_FALSE(decoder.ready());
-    EXPECT_EQ(decoder.results_received(), 0u);
-  }
-}
-
-TEST(IncrementalDecoder, RejectsDecodingCacheCombination) {
-  Rng rng(311);
-  const CyclicScheme scheme(6, 1, rng);
-  DecodingCache cache(scheme);
-  EXPECT_THROW(
-      StreamingDecoder(scheme, &cache, DecodeStrategy::kIncremental),
-      std::invalid_argument);
-}
-
 // ------------------------------------------- straggler pattern sampling --
 
 TEST(StragglerSampling, CountSaturatesAtCap) {
@@ -609,49 +523,6 @@ TEST(SparseThreaded, ConcurrentLazyDenseViewAndDecodesAreExact) {
   for (std::size_t r = 0; r < m; ++r)
     for (std::size_t c = 0; c < k; ++c)
       ASSERT_EQ(bits(dense(r, c)), bits(scheme->sparse_matrix().at(r, c)));
-}
-
-TEST(SparseThreaded, ConcurrentIncrementalDecodersAreIndependent) {
-  // One scheme, many incremental decoders (one per thread, as the engine
-  // would own them) hammering sparse row reads concurrently.
-  Rng rng(315);
-  const CyclicScheme scheme(12, 2, rng);
-  std::vector<Vector> gradients(scheme.num_partitions());
-  Vector expected(7, 0.0);
-  for (auto& g : gradients) {
-    g.resize(7);
-    for (double& v : g) v = rng.normal();
-    for (std::size_t i = 0; i < 7; ++i) expected[i] += g[i];
-  }
-
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t)
-    threads.emplace_back([&, t] {
-      StreamingDecoder decoder(scheme, nullptr,
-                               DecodeStrategy::kIncremental);
-      for (int iter = 0; iter < 8; ++iter) {
-        decoder.reset();
-        for (WorkerId w = 0; w < scheme.num_workers(); ++w) {
-          const WorkerId rotated =
-              (w + static_cast<WorkerId>(t)) % scheme.num_workers();
-          if (static_cast<int>(rotated) % 11 == t % 11 && w < 2) continue;
-          decoder.add_result(rotated,
-                             encode_gradient(scheme, rotated, gradients));
-          if (decoder.ready()) break;
-        }
-        if (!decoder.ready()) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        const Vector aggregate = decoder.aggregate();
-        for (std::size_t i = 0; i < expected.size(); ++i)
-          if (std::abs(aggregate[i] - expected[i]) > 1e-8)
-            failures.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace

@@ -199,10 +199,12 @@ def test_unknown_backend_suffix_fails_by_name():
         "context": {"hgc_kernel_backend": "scalar"},
         "benchmarks": [bench("BM_Kernel", mflops=9000.0)],
     }
-    baseline = {"benchmarks": {"BM_Kernel@sse2": {"mflops": 90}}}
-    code, out = run_checker(report, baseline)
-    assert code == 1
-    assert "unknown backend suffix 'sse2'" in out
+    # neon was a backend once; its suffix must now fail like any typo.
+    for suffix in ("sse2", "neon"):
+        baseline = {"benchmarks": {f"BM_Kernel@{suffix}": {"mflops": 90}}}
+        code, out = run_checker(report, baseline)
+        assert code == 1
+        assert f"unknown backend suffix '{suffix}'" in out
 
 
 def _load_repo_baseline():
