@@ -10,7 +10,8 @@
 // counters and histogram buckets sum exactly and the totals are identical
 // to an unsplit run (CI asserts this on a split fig3 grid). `diff` turns
 // two snapshots of the same process into per-second rates using the
-// snapshot timestamps; `top` ranks the biggest counters and time sinks;
+// snapshot timestamps; `top` ranks the biggest counters and time sinks
+// and prints decode solves per success;
 // `convert` rewrites the exact JSON format as JSON or as Prometheus text
 // exposition (output format follows the file extension: .prom/.txt =
 // Prometheus, else JSON). Prometheus is export-only: every input is JSON.
@@ -22,6 +23,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,8 +43,9 @@ void print_usage(std::ostream& os) {
         "  diff OLD NEW          counter deltas between two snapshots of\n"
         "                        one process, with per-second rates from\n"
         "                        the snapshot timestamps\n"
-        "  top [N] IN            the N largest counters and the stats with\n"
-        "                        the most accumulated time (default N=10)\n"
+        "  top [N] IN            the N largest counters, decode solves per\n"
+        "                        success, and the stats with the most\n"
+        "                        accumulated time (default N=10)\n"
         "  convert IN OUT        rewrite a snapshot as JSON or Prometheus\n"
         "                        text (OUT ending in .prom/.txt selects\n"
         "                        Prometheus, anything else JSON)\n\n"
@@ -75,29 +78,29 @@ Snapshot read_snapshot(const std::string& path) {
     throw std::invalid_argument(
         "not a JSON snapshot: " + path +
         " (Prometheus text is export-only; read the JSON it came from)");
-  // One object, or JSONL (one object per line): parse the first line; if
-  // more lines follow, treat each as a snapshot of the same process over
-  // time and keep the last one per gauge/stat while summing nothing —
-  // recorder samples are cumulative, so "latest wins" is just the final
-  // line. A multi-line pretty-printed object lands in the single-parse
-  // branch because its first line alone fails to parse.
+  // One object, or JSONL (one object per line). When the first line parses
+  // on its own the input is JSONL: every later line must parse too — a bad
+  // one (a recorder killed mid-write) is reported as file:line — and since
+  // recorder samples are cumulative, the last line is the answer. Only a
+  // first line that fails alone (a pretty-printed object) falls back to the
+  // whole-document parse.
   const std::size_t newline = text.find('\n', first);
   if (newline != std::string::npos &&
       text.find_first_not_of(" \t\r\n", newline) != std::string::npos) {
-    try {
-      Snapshot last;
-      bool any = false;
-      std::istringstream lines(text);
-      std::string line;
-      while (std::getline(lines, line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    std::optional<Snapshot> last;
+    std::istringstream lines(text);
+    std::string line;
+    for (std::size_t number = 1; std::getline(lines, line); ++number) {
+      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+      try {
         last = Snapshot::read_json(line);
-        any = true;
+      } catch (const std::exception& e) {
+        if (!last) break;  // first line is not an object: not JSONL
+        throw std::invalid_argument(path + ":" + std::to_string(number) +
+                                    ": " + e.what());
       }
-      if (any) return last;
-    } catch (const std::exception&) {
-      // Not JSONL — fall through to whole-document parse.
     }
+    if (last) return *last;
   }
   return Snapshot::read_json(text);
 }
@@ -195,6 +198,14 @@ int cmd_top(const std::vector<std::string>& args) {
   for (std::size_t i = 0; i < std::min(n, counters.size()); ++i)
     std::printf("  %-40s %14llu\n", counters[i].first.c_str(),
                 static_cast<unsigned long long>(counters[i].second));
+  // Solves per decoding vector obtained: ~1 when every solve is gated on a
+  // quorum, far above s+2 when solves are wasted on undecodable prefixes.
+  const std::uint64_t solves = snap.counter("decode.solves");
+  if (const std::uint64_t successes = snap.counter("decode.successes"))
+    std::printf("decode: %.4g solves per success (%llu / %llu)\n",
+                static_cast<double>(solves) / static_cast<double>(successes),
+                static_cast<unsigned long long>(solves),
+                static_cast<unsigned long long>(successes));
 
   std::vector<std::pair<std::string, const hgc::RunningStats*>> stats;
   for (const auto& [name, s] : snap.stats) stats.emplace_back(name, &s);

@@ -427,7 +427,7 @@ void BM_CompletionTimeRegularStragglers(benchmark::State& state) {
   // robustness::completion_time under a recurring straggler working set
   // (range(2) = 1 shares a DecodingCache across calls, 0 re-solves). This
   // is the steady-state master: the same few workers straggle, so after
-  // one warm-up lap every arrival-prefix probe is an LRU hit.
+  // one warm-up lap every gated probe is an LRU hit.
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto s = static_cast<std::size_t>(state.range(1));
   const bool cached = state.range(2) != 0;
@@ -463,11 +463,11 @@ BENCHMARK(BM_CompletionTimeRegularStragglers)
 
 void BM_WorstCaseTimeCached(benchmark::State& state) {
   // The C(m, s) enumeration with a shared decoding cache (range(2) = 1)
-  // versus brute-force solving every prefix (range(2) = 0). Fractional
-  // repetition is the regime with real prefix reuse: its
-  // min_results_required is far below m − s, so every pattern probes a
-  // ladder of early prefixes that overlap heavily between patterns — the
-  // hit_rate counter is the fraction of probes answered from the LRU.
+  // versus solving every gated prefix (range(2) = 0). Fractional
+  // repetition is the regime with real prefix reuse: its quorum gate opens
+  // on the first prefix covering every block, far below m − s results, and
+  // many patterns share that prefix — the hit_rate counter is the fraction
+  // of probes answered from the LRU.
   // (Wall time can still favour uncached here because fractional's solve is
   // a cheap block scan; the cache's wall-time win needs an expensive solve,
   // measured by BM_CompletionTimeRegularStragglers above.)

@@ -59,6 +59,20 @@ const Matrix& CodingScheme::coding_matrix() const {
   return dense_view_;
 }
 
+void CodingScheme::publish_quorums(Quorums quorums) {
+  HGC_REQUIRE(quorums.clause_of.size() == num_workers(),
+              "quorum table must have one clause entry per worker");
+  for (std::size_t clause : quorums.clause_of)
+    HGC_REQUIRE(clause == Quorums::kNoClause ||
+                    clause < quorums.threshold.size(),
+                "quorum clause id out of range");
+  for (std::size_t threshold : quorums.threshold)
+    HGC_REQUIRE(threshold > 0, "a quorum clause needs at least one arrival");
+  HGC_REQUIRE(quorums.clauses_needed > 0,
+              "the gate must need at least one met clause");
+  quorums_ = std::move(quorums);
+}
+
 std::optional<Vector> CodingScheme::generic_decode(
     const std::vector<bool>& received) const {
   // One workspace per thread: the sweep runtime's worker threads each warm

@@ -26,6 +26,22 @@
 
 namespace hgc {
 
+/// The decodability quorums of a scheme: decoding_coefficients(received) can
+/// return a vector only if at least `total` results arrived, or at least
+/// `clauses_needed` subset clauses are met — clause c once `threshold[c]`
+/// of its workers were received. Clauses are disjoint worker sets, so each
+/// worker counts toward at most one of them: an arrival is O(1) work for a
+/// decoder keeping one counter per clause.
+struct Quorums {
+  /// Sentinel in `clause_of` for a worker outside every subset clause.
+  static constexpr std::size_t kNoClause = static_cast<std::size_t>(-1);
+
+  std::size_t total = 0;               ///< all-workers clause threshold
+  std::vector<std::size_t> clause_of;  ///< per worker: its clause, or kNoClause
+  std::vector<std::size_t> threshold;  ///< per subset clause
+  std::size_t clauses_needed = 1;      ///< met clauses that open the gate
+};
+
 /// Base class for all gradient coding strategies.
 class CodingScheme {
  public:
@@ -65,12 +81,16 @@ class CodingScheme {
   virtual std::optional<Vector> decoding_coefficients(
       const std::vector<bool>& received) const = 0;
 
-  /// Cheap lower bound on how many results must have arrived before
-  /// decoding_coefficients can possibly succeed; the master uses it to skip
-  /// pointless solves while results trickle in.
+  /// Lower bound on how many results must have arrived before
+  /// decoding_coefficients can possibly succeed. It is the default quorum:
+  /// a scheme that publishes no quorums() is gated on this many arrivals.
   virtual std::size_t min_results_required() const {
     return num_workers() - s_;
   }
+
+  /// The quorum table published at construction, or nullptr when the
+  /// scheme's only quorum is min_results_required() arrivals.
+  const Quorums* quorums() const { return quorums_ ? &*quorums_ : nullptr; }
 
  protected:
   /// Derived constructors hand over the finished matrix and assignment;
@@ -98,6 +118,10 @@ class CodingScheme {
   std::optional<Vector> generic_decode(const std::vector<bool>& received,
                                        SolveWorkspace& ws) const;
 
+  /// Derived constructors publish their quorum table once (validated:
+  /// one clause entry per worker, clause ids in range, thresholds > 0).
+  void publish_quorums(Quorums quorums);
+
  private:
   SparseRowMatrix coding_matrix_;
   Assignment assignment_;
@@ -107,6 +131,7 @@ class CodingScheme {
   // coding_matrix_.
   mutable Matrix dense_view_;
   mutable std::once_flag dense_view_once_;
+  std::optional<Quorums> quorums_;
 };
 
 /// Worker-side encoding: g̃_w = Σ_j B(w,j)·g_j over the partitions worker w

@@ -1,5 +1,7 @@
 #include "core/decoder.hpp"
 
+#include <algorithm>
+
 #include "core/robustness.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -18,6 +20,8 @@ std::optional<Vector> solve_decoding_coefficients(
 
   static const obs::Counter solves =
       obs::Registry::global().counter("decode.solves");
+  static const obs::Counter successes =
+      obs::Registry::global().counter("decode.successes");
   // Log-spaced upper-inclusive bounds bracketing the µs-to-ms solves the
   // coding-matrix sizes produce; anything slower lands in overflow.
   static const obs::Histogram solve_seconds =
@@ -28,6 +32,7 @@ std::optional<Vector> solve_decoding_coefficients(
   Stopwatch timer;
   auto coefficients = scheme.decoding_coefficients(received);
   solve_seconds.observe(timer.seconds());
+  if (coefficients) successes.add();
   return coefficients;
 }
 
@@ -58,10 +63,38 @@ std::vector<DecodingRow> build_decoding_matrix(const CodingScheme& scheme) {
   return rows;
 }
 
+QuorumGate::QuorumGate(const CodingScheme& scheme)
+    : quorums_(scheme.quorums()),
+      total_(quorums_ ? quorums_->total : scheme.min_results_required()),
+      counts_(quorums_ ? quorums_->threshold.size() : 0, 0) {}
+
+bool QuorumGate::arrive(WorkerId w) {
+  if (open_) return true;
+  ++arrivals_;
+  if (arrivals_ >= total_) open_ = true;
+  if (quorums_) {
+    const std::size_t clause = quorums_->clause_of[w];
+    if (clause != Quorums::kNoClause) {
+      ++counts_[clause];
+      if (counts_[clause] == quorums_->threshold[clause]) ++clauses_met_;
+    }
+    if (clauses_met_ >= quorums_->clauses_needed) open_ = true;
+  }
+  return open_;
+}
+
+void QuorumGate::reset() {
+  arrivals_ = 0;
+  clauses_met_ = 0;
+  std::fill(counts_.begin(), counts_.end(), 0);
+  open_ = false;
+}
+
 StreamingDecoder::StreamingDecoder(const CodingScheme& scheme,
                                    DecodingCache* cache)
     : scheme_(scheme),
       cache_(cache),
+      gate_(scheme),
       received_(scheme.num_workers(), false),
       coded_(scheme.num_workers()) {
   HGC_REQUIRE(!cache_ || &cache_->scheme() == &scheme_,
@@ -75,7 +108,7 @@ bool StreamingDecoder::add_result(WorkerId w, Vector coded_gradient) {
   coded_[w] = std::move(coded_gradient);
   ++received_count_;
   if (coefficients_) return false;  // already decodable, extra result unused
-  if (received_count_ < scheme_.min_results_required()) return false;
+  if (!gate_.arrive(w)) return false;
   coefficients_ = cache_ ? cache_->decode(received_)
                          : solve_decoding_coefficients(scheme_, received_);
   return coefficients_.has_value();
@@ -108,6 +141,7 @@ void StreamingDecoder::reset() {
   for (auto& v : coded_) v.clear();
   received_count_ = 0;
   coefficients_.reset();
+  gate_.reset();
 }
 
 }  // namespace hgc

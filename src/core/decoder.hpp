@@ -4,7 +4,9 @@
 // pattern, S = C(m, s)) for "regular" patterns and solves irregular ones in
 // real time. StreamingDecoder is that real-time path packaged for the
 // simulator and the threaded runtime: feed results as they arrive, ask
-// whether the aggregate is ready.
+// whether the aggregate is ready. A QuorumGate over the scheme's published
+// quorums (default: min_results_required() arrivals) decides, in O(1) per
+// arrival, when a solve can succeed at all.
 #pragma once
 
 #include <optional>
@@ -29,7 +31,8 @@ struct DecodingRow {
 std::vector<DecodingRow> build_decoding_matrix(const CodingScheme& scheme);
 
 /// scheme.decoding_coefficients(received) wrapped in the observability
-/// layer: counts `decode.solves`, samples `decode.solve_seconds`, and opens
+/// layer: counts `decode.solves` (and `decode.successes` when the solve
+/// returns coefficients), samples `decode.solve_seconds`, and opens
 /// a wall-clock "decode_solve" trace span. The single real-time-solve entry
 /// point for both the uncached decoder path and a DecodingCache miss —
 /// result-identical to calling the scheme directly (everything recorded is
@@ -37,15 +40,44 @@ std::vector<DecodingRow> build_decoding_matrix(const CodingScheme& scheme);
 std::optional<Vector> solve_decoding_coefficients(
     const CodingScheme& scheme, const std::vector<bool>& received);
 
+/// Per-round decodability gate over a scheme's quorums() — or, for a scheme
+/// that publishes none, the default quorum of min_results_required()
+/// arrivals. One counter per clause, O(1) work per arrival, no allocation
+/// after construction. The gate opens at the first arrival after which
+/// decoding_coefficients can return a vector and stays open for the round.
+/// Every arrival loop (the streaming decoder, completion_time, the
+/// layerwise simulator) solves only while the gate is open, so "can this
+/// decode yet" has one definition and the first successful arrival is the
+/// same one an ungated loop would find.
+class QuorumGate {
+ public:
+  explicit QuorumGate(const CodingScheme& scheme);
+
+  /// Count worker w's result (w < m, each worker at most once per round);
+  /// returns whether the gate is open.
+  bool arrive(WorkerId w);
+
+  /// Zero the counters for the next round.
+  void reset();
+
+ private:
+  const Quorums* quorums_;  // owned by the scheme; null = default quorum
+  std::size_t total_;
+  std::size_t arrivals_ = 0;
+  std::vector<std::size_t> counts_;  // one per subset clause
+  std::size_t clauses_met_ = 0;
+  bool open_ = false;
+};
+
 /// Streaming master-side decoder. Results are added in arrival order; the
-/// decoder re-checks decodability per arrival (skipping checks that cannot
-/// succeed yet) and caches the coefficients once found.
+/// decoder solves only once its QuorumGate is open, then on every arrival
+/// until the solve succeeds, and keeps the coefficients once found.
 class StreamingDecoder {
  public:
-  /// `cache`, when non-null, must wrap the same scheme instance; decodability
-  /// checks then go through its LRU (the paper's "regular stragglers"
-  /// optimization) instead of re-solving per arrival. The cache may be
-  /// shared across iterations but not across threads.
+  /// `cache`, when non-null, must wrap the same scheme instance; gated
+  /// solves then go through its LRU of decodable patterns (the paper's
+  /// "regular stragglers" table). The cache may be shared across iterations
+  /// but not across threads.
   explicit StreamingDecoder(const CodingScheme& scheme,
                             DecodingCache* cache = nullptr);
 
@@ -72,6 +104,7 @@ class StreamingDecoder {
  private:
   const CodingScheme& scheme_;
   DecodingCache* cache_;
+  QuorumGate gate_;
   std::vector<bool> received_;
   std::vector<Vector> coded_;
   std::size_t received_count_ = 0;

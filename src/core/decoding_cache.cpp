@@ -53,7 +53,11 @@ std::optional<Vector> DecodingCache::decode(
     cache_misses.add();
   }
   auto coefficients = solve_decoding_coefficients(scheme_, received);
-  entries_.push_front({key, coefficients});
+  // Only decodable patterns are kept: the paper's table holds decoding
+  // vectors, and an undecodable prefix seldom recurs once decoders gate
+  // their solves on the scheme's quorums.
+  if (!coefficients) return coefficients;
+  entries_.push_front({key, *coefficients});
   index_[std::move(key)] = entries_.begin();
   if (entries_.size() > capacity_) {
     index_.erase(entries_.back().key);

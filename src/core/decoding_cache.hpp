@@ -18,7 +18,7 @@
 
 namespace hgc {
 
-/// LRU cache wrapper around CodingScheme::decoding_coefficients.
+/// LRU cache of decoding vectors around CodingScheme::decoding_coefficients.
 class DecodingCache {
  public:
   /// `capacity` bounds the number of distinct receive patterns kept; the
@@ -27,8 +27,9 @@ class DecodingCache {
   explicit DecodingCache(const CodingScheme& scheme,
                          std::size_t capacity = 256);
 
-  /// Cached or freshly-solved coefficients; nullopt results (undecodable
-  /// sets) are also cached so repeated early probes stay cheap.
+  /// Cached or freshly-solved coefficients. Only decodable patterns are
+  /// stored: a nullopt result is returned without an entry, so each probe
+  /// of an undecodable set counts (and pays) a miss.
   std::optional<Vector> decode(const std::vector<bool>& received);
 
   /// The scheme this cache solves for; callers wiring the cache into a
@@ -52,7 +53,7 @@ class DecodingCache {
 
   struct Entry {
     std::vector<std::uint64_t> key;
-    std::optional<Vector> coefficients;
+    Vector coefficients;
   };
 
   const CodingScheme& scheme_;

@@ -49,7 +49,18 @@ FractionalRepetitionScheme::FractionalRepetitionScheme(Layout layout,
                                                        std::size_t s)
     : CodingScheme(std::move(layout.b), std::move(layout.assignment), s),
       blocks_(std::move(layout.blocks)),
-      stripe_partitions_(std::move(layout.stripes)) {}
+      stripe_partitions_(std::move(layout.stripes)) {
+  // Decodable exactly when every block has a replica in: one clause of
+  // threshold 1 per block, all of them needed.
+  Quorums quorums;
+  quorums.total = num_workers();
+  quorums.clause_of.resize(num_workers());
+  for (std::size_t blk = 0; blk < blocks_.size(); ++blk)
+    for (WorkerId w : blocks_[blk]) quorums.clause_of[w] = blk;
+  quorums.threshold.assign(blocks_.size(), 1);
+  quorums.clauses_needed = blocks_.size();
+  publish_quorums(std::move(quorums));
+}
 
 FractionalRepetitionScheme::FractionalRepetitionScheme(std::size_t m,
                                                        std::size_t s,

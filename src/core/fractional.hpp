@@ -21,6 +21,8 @@ class FractionalRepetitionScheme : public CodingScheme {
 
   std::string name() const override { return "fractional-repetition"; }
 
+  /// Decodable exactly when every block has a received replica; quorums()
+  /// says so with one threshold-1 clause per block, all of them needed.
   std::optional<Vector> decoding_coefficients(
       const std::vector<bool>& received) const override;
 

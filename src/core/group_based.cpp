@@ -74,7 +74,31 @@ GroupBasedScheme::Build make_build(const Throughputs& c, std::size_t k,
 GroupBasedScheme::GroupBasedScheme(Build build, std::size_t s)
     : CodingScheme(std::move(build.b), std::move(build.assignment), s),
       groups_(std::move(build.groups)),
-      sub_code_(std::move(build.sub_code)) {}
+      sub_code_(std::move(build.sub_code)) {
+  for (const auto& partitions : assignment())
+    if (!partitions.empty()) ++active_;
+
+  // The three ways decoding_coefficients can succeed, as quorum clauses.
+  // Groups are pairwise disjoint and the sub-code holds only non-group
+  // workers, so every worker lands in at most one clause.
+  Quorums quorums;
+  quorums.total = active_ - s;
+  quorums.clause_of.assign(num_workers(), Quorums::kNoClause);
+  const auto add_clause = [&quorums](const std::vector<WorkerId>& workers,
+                                     std::size_t threshold) {
+    for (WorkerId w : workers) {
+      HGC_ASSERT(quorums.clause_of[w] == Quorums::kNoClause,
+                 "quorum clauses must be disjoint");
+      quorums.clause_of[w] = quorums.threshold.size();
+    }
+    quorums.threshold.push_back(threshold);
+  };
+  for (const Group& g : groups_) add_clause(g, g.size());
+  if (!sub_code_.empty())
+    add_clause(sub_code_.workers(),
+               sub_code_.workers().size() - sub_code_.stragglers_tolerated());
+  publish_quorums(std::move(quorums));
+}
 
 GroupBasedScheme::GroupBasedScheme(const Throughputs& c, std::size_t k,
                                    std::size_t s, Rng& rng,
@@ -105,10 +129,7 @@ std::optional<Vector> GroupBasedScheme::decoding_coefficients(
   // (3) Mixed combinations: only worth a least-squares solve once at least
   // (active − s) results arrived — the point at which Theorem 6 guarantees
   // decodability.
-  std::size_t active = 0;
-  for (const auto& partitions : assignment())
-    if (!partitions.empty()) ++active;
-  if (count_received(received) >= active - stragglers_tolerated())
+  if (count_received(received) >= active_ - stragglers_tolerated())
     return generic_decode(received);
   return std::nullopt;
 }

@@ -31,7 +31,10 @@ class GroupBasedScheme : public CodingScheme {
   /// Decoding order mirrors Alg. 3: (1) any complete group sums directly,
   /// (2) the Alg.1 sub-code over non-group workers (tolerance s−P),
   /// (3) generic least-squares once enough results arrived (covers mixed
-  /// combinations the two fast paths cannot express).
+  /// combinations the two fast paths cannot express). The published
+  /// quorums() are exactly these three conditions: one clause per group
+  /// (threshold |G|), one for the sub-code (|sub| − s′), and the total
+  /// (active − s).
   std::optional<Vector> decoding_coefficients(
       const std::vector<bool>& received) const override;
 
@@ -50,6 +53,7 @@ class GroupBasedScheme : public CodingScheme {
 
   std::vector<Group> groups_;
   Alg1Code sub_code_;
+  std::size_t active_ = 0;  // workers holding at least one partition
 };
 
 }  // namespace hgc

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "core/decoder.hpp"
 #include "util/error.hpp"
 
 namespace hgc {
@@ -110,22 +111,14 @@ std::optional<double> completion_time(const CodingScheme& scheme,
   }
   std::sort(arrivals.begin(), arrivals.end());
 
+  // A prefix the quorum gate keeps closed cannot decode, so survivors that
+  // never open it are undecodable without a single solve.
   std::vector<bool> received(m, false);
-  std::size_t count = 0;
-  bool tried_full_set = false;
+  QuorumGate gate(scheme);
   for (const auto& [time, w] : arrivals) {
     received[w] = true;
-    ++count;
-    if (count < scheme.min_results_required()) continue;
-    if (count == arrivals.size()) tried_full_set = true;
-    if (decodable(received)) return time;
+    if (gate.arrive(w) && decodable(received)) return time;
   }
-  // Tail case: min_results_required can exceed the survivor count, so try
-  // one final decode with everything received — unless the loop's last
-  // attempt already was the full set, in which case re-solving the identical
-  // system would only confirm the failure.
-  if (!arrivals.empty() && !tried_full_set && decodable(received))
-    return arrivals.back().first;
   return std::nullopt;
 }
 

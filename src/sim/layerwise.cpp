@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/decoder.hpp"
 #include "util/error.hpp"
 
 namespace hgc {
@@ -52,6 +53,7 @@ LayerwiseResult simulate_layerwise_iteration(const CodingScheme& scheme,
   LayerwiseResult result;
   result.layer_times.assign(num_layers, 0.0);
 
+  QuorumGate gate(scheme);
   double cumulative = 0.0;
   for (std::size_t layer = 0; layer < num_layers; ++layer) {
     cumulative += fractions[layer];
@@ -68,12 +70,11 @@ LayerwiseResult simulate_layerwise_iteration(const CodingScheme& scheme,
     std::sort(arrivals.begin(), arrivals.end());
 
     std::vector<bool> received(m, false);
-    std::size_t count = 0;
+    gate.reset();
     bool layer_decoded = false;
     for (const auto& [at, w] : arrivals) {
       received[w] = true;
-      ++count;
-      if (count < scheme.min_results_required()) continue;
+      if (!gate.arrive(w)) continue;
       if (scheme.decoding_coefficients(received)) {
         result.layer_times[layer] = at;
         layer_decoded = true;

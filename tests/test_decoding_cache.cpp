@@ -1,7 +1,7 @@
 // Tests for the LRU decoding-coefficient cache (the paper's "partially
 // stored" decoding matrix, Section III-B) and its wiring into the
-// robustness hot paths (completion_time / worst_case_time), including the
-// duplicate-tail-solve fix verified with a solve-counting scheme wrapper.
+// robustness hot paths (completion_time / worst_case_time), with solve
+// counts verified through a solve-counting scheme wrapper.
 #include <gtest/gtest.h>
 
 #include "core/decoding_cache.hpp"
@@ -49,13 +49,17 @@ TEST_F(DecodingCacheTest, MatchesUncachedDecode) {
   EXPECT_EQ(cache.misses(), 5u);
 }
 
-TEST_F(DecodingCacheTest, CachesNegativeResults) {
+TEST_F(DecodingCacheTest, DoesNotCacheUndecodablePatterns) {
+  // Only decoding vectors are stored (the paper's table of regular
+  // patterns): an undecodable probe leaves no entry and misses every time.
   DecodingCache cache(scheme_);
   const auto received = all_but({3, 4});  // 2 stragglers > s = 1
   EXPECT_FALSE(cache.decode(received).has_value());
+  EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.decode(received).has_value());
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 2u);
 }
 
 TEST_F(DecodingCacheTest, EvictsLeastRecentlyUsed) {
@@ -152,8 +156,8 @@ class CountingScheme : public CodingScheme {
 };
 
 // A scheme that can never decode and accepts probes from the first arrival
-// on: the exact shape that used to trigger completion_time's redundant
-// tail re-solve of the full received set.
+// on: every prefix is probed once, the full received set included, and
+// never twice.
 class NeverDecodableScheme : public CodingScheme {
  public:
   NeverDecodableScheme()
@@ -176,23 +180,25 @@ class NeverDecodableScheme : public CodingScheme {
 TEST(CompletionTimeSolves, NoDuplicateSolveWhenLoopAlreadyTriedFullSet) {
   // 3 survivors, min_results_required = 1: the arrival loop attempts the
   // decode at counts 1, 2 and 3 — the last attempt IS the full received
-  // set, so the undecodable tail must not re-run that identical solve.
+  // set, and no identical solve may follow it.
   NeverDecodableScheme scheme;
   const Throughputs c = {1.0, 2.0, 3.0};
   EXPECT_FALSE(completion_time(scheme, c, {}).has_value());
   EXPECT_EQ(scheme.solves, 3u);
 }
 
-TEST(CompletionTimeSolves, TailStillRunsWhenLoopNeverReachedFullSet) {
+TEST(CompletionTimeSolves, NoSolveWhenSurvivorsNeverReachTheQuorum) {
   // Heter-aware with s = 1 has min_results_required = m - 1; with two
-  // stragglers only m - 2 survivors arrive, the loop never attempts a
-  // decode, and the tail case must still probe the full survivor set once.
+  // stragglers only m - 2 survivors arrive, so the quorum gate never opens
+  // and the pattern is reported undecodable without a single solve.
   Rng rng(151);
   HeterAwareScheme inner({1, 2, 3, 4, 4}, 7, 1, rng);
   CountingScheme scheme(inner);
   const Throughputs c = {1.0, 2.0, 3.0, 4.0, 4.0};
   EXPECT_FALSE(completion_time(scheme, c, {3, 4}).has_value());
-  EXPECT_EQ(scheme.solves, 1u);
+  EXPECT_FALSE(inner.decoding_coefficients({true, true, true, false, false})
+                   .has_value());
+  EXPECT_EQ(scheme.solves, 0u);
 }
 
 TEST(CompletionTimeSolves, CacheAbsorbsRepeatedPatterns) {
